@@ -16,6 +16,7 @@
 use crate::args::Effort;
 use crate::registry::{self, Spec};
 use crate::workloads;
+use std::sync::Arc;
 use varbench_core::ctx::RunContext;
 use varbench_core::json::Json;
 use varbench_core::report::{json_string, Report};
@@ -259,8 +260,9 @@ impl StudyRequest {
     }
 
     /// Resolves the workload this request targets (the effort preset
-    /// picks its scale).
-    pub fn find_workload(&self) -> Result<Box<dyn varbench_pipeline::Workload>, String> {
+    /// picks its scale): the process-wide shared instance, built on the
+    /// first lookup only (see [`workloads`]).
+    pub fn find_workload(&self) -> Result<Arc<dyn varbench_pipeline::Workload>, String> {
         workloads::find(&self.workload, self.effort.scale()).ok_or_else(|| {
             format!(
                 "unknown workload \"{}\" (see GET /v1/workloads)",
@@ -381,6 +383,7 @@ impl StudyRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use varbench_rng::sweep::{sweep, Case};
 
     fn parse(s: &str) -> Json {
         Json::parse(s).expect("test request parses")
@@ -520,6 +523,85 @@ mod tests {
         let plain = StudyRequest::from_json(&parse(r#"{"workload":"synthetic-ridge"}"#)).unwrap();
         assert!(!plain.dispatch);
         assert!(!plain.to_json().contains("dispatch"));
+    }
+
+    /// Bytes a one-byte mutation writes: JSON structure, digits, letters,
+    /// an escape, a control byte and bytes that break UTF-8.
+    const MUTATION_BYTES: &[u8] = b"{}[]\":,. -+0129aeflnrstuxz\\\x00\xc3\xff";
+
+    /// A strict prefix (even cases) or a one-byte mutation (odd cases)
+    /// of a valid body. Returns the input and whether it is a prefix.
+    fn mangle(case: &mut Case, valid: &str) -> (String, bool) {
+        let mut bytes = valid.as_bytes().to_vec();
+        let at = case.usize_in(0, bytes.len());
+        let truncated = case.index().is_multiple_of(2);
+        if truncated {
+            bytes.truncate(at);
+        } else {
+            bytes[at] = MUTATION_BYTES[case.usize_in(0, MUTATION_BYTES.len())];
+        }
+        (String::from_utf8_lossy(&bytes).into_owned(), truncated)
+    }
+
+    /// Sweeps mangled `valid` bodies through `Json::parse` and `accept`
+    /// (a request validator, with its follow-up checks on success).
+    /// Every strict prefix must be rejected; no input may panic. Returns
+    /// how many inputs were accepted.
+    fn fuzz(label: &str, valid: &[&str], accept: impl Fn(&Json) -> Result<(), String>) -> usize {
+        let mut accepted = 0;
+        sweep(label, 512, |case| {
+            let body = valid[case.usize_in(0, valid.len())];
+            let (input, truncated) = mangle(case, body);
+            let outcome = Json::parse(&input)
+                .map_err(|e| e.to_string())
+                .and_then(|doc| accept(&doc));
+            assert!(
+                !(truncated && outcome.is_ok()),
+                "truncated body accepted: {input}"
+            );
+            accepted += usize::from(outcome.is_ok());
+        });
+        accepted
+    }
+
+    #[test]
+    fn fuzzed_study_bodies_never_panic() {
+        let accepted = fuzz(
+            "fuzz_study_request",
+            &[
+                r#"{"workload":"synthetic-ridge","effort":"test","sources":["data_split"],"seeds":4,"base_seed":161,"budget":2,"algo":"Bayes Opt","gamma":0.75,"name":"fuzz","dispatch":true}"#,
+                r#"{"workload":"linear-logreg","effort":"quick","seeds":3}"#,
+            ],
+            |doc| {
+                let req = StudyRequest::from_json(doc)?;
+                // Whatever validates must survive its own wire shape.
+                let again = StudyRequest::from_json(&parse(&req.to_json()))?;
+                assert_eq!(again.to_json(), req.to_json());
+                match req.find_workload() {
+                    Ok(w) => assert_eq!(w.name(), req.workload),
+                    Err(e) => assert!(e.contains("unknown workload"), "{e}"),
+                }
+                Ok(())
+            },
+        );
+        assert!(accepted > 0, "no mutation kept a study body valid");
+    }
+
+    #[test]
+    fn fuzzed_run_bodies_never_panic() {
+        let accepted = fuzz(
+            "fuzz_run_request",
+            &[
+                r#"{"artifacts":["figc1","tables"],"effort":"test"}"#,
+                r#"{"artifacts":["all"]}"#,
+            ],
+            |doc| {
+                let req = RunRequest::from_json(doc)?;
+                assert!(!req.artifacts.is_empty());
+                Ok(())
+            },
+        );
+        assert!(accepted > 0, "no mutation kept a run body valid");
     }
 
     #[test]

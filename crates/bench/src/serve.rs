@@ -931,14 +931,21 @@ mod tests {
         let (status, body) = route(&s, "GET", "/health", "");
         assert_eq!((status, body.as_str()), (200, "{\"ok\":true}\n"));
 
+        // The whole body is pinned: order, names, metrics and sources.
         let (status, body) = route(&s, "GET", "/v1/workloads", "");
         assert_eq!(status, 200);
-        let doc = Json::parse(&body).expect("workloads body is valid JSON");
-        let items = doc.get("workloads").and_then(Json::as_array).unwrap();
-        assert_eq!(items.len(), 7);
-        assert!(items
-            .iter()
-            .any(|w| w.get("name").and_then(Json::as_str) == Some("synthetic-ridge")));
+        let golden = concat!(
+            "{\"workloads\":[",
+            "{\"name\":\"glue-rte-bert\",\"metric\":\"accuracy\",\"sources\":[\"data_split\",\"weights_init\",\"data_order\",\"dropout\",\"hyperopt\"]},",
+            "{\"name\":\"glue-sst2-bert\",\"metric\":\"accuracy\",\"sources\":[\"data_split\",\"weights_init\",\"data_order\",\"dropout\",\"hyperopt\"]},",
+            "{\"name\":\"mhc-mlp\",\"metric\":\"AUC\",\"sources\":[\"data_split\",\"weights_init\",\"data_order\",\"hyperopt\"]},",
+            "{\"name\":\"pascalvoc-resnet\",\"metric\":\"mean IoU\",\"sources\":[\"data_split\",\"weights_init\",\"data_order\",\"numerical_noise\",\"hyperopt\"]},",
+            "{\"name\":\"cifar10-vgg11\",\"metric\":\"accuracy\",\"sources\":[\"data_split\",\"data_augment\",\"weights_init\",\"data_order\",\"hyperopt\"]},",
+            "{\"name\":\"linear-logreg\",\"metric\":\"accuracy\",\"sources\":[\"data_split\",\"weights_init\",\"data_order\",\"hyperopt\"]},",
+            "{\"name\":\"synthetic-ridge\",\"metric\":\"AUC\",\"sources\":[\"data_split\",\"hyperopt\"]}",
+            "]}\n",
+        );
+        assert_eq!(body, golden);
 
         let (status, body) = route(&s, "GET", "/v1/artifacts", "");
         assert_eq!(status, 200);

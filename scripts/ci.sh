@@ -257,6 +257,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --quiet
 say "benches compile and run one fast rep"
 VARBENCH_BENCH_REPS=3 VARBENCH_BENCH_TARGET_MS=1 cargo test -q --offline --benches
 
+say "end-to-end benchmark harness compiles (perfbench/ uses the public API)"
+CARGO_TARGET_DIR=.bench_build cargo bench --no-run --offline --manifest-path perfbench/Cargo.toml
+
 say "rustfmt"
 if cargo fmt --version >/dev/null 2>&1; then
     cargo fmt --check
