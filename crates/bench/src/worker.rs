@@ -38,10 +38,6 @@
 //! dispatching overlapping studies share workers' results for free. The
 //! serial key canon itself is never touched (the L004 firewall): leases
 //! and queue files live beside the records, not inside their keys.
-//!
-//! Sharding requires the default serial-bootstrap mode: a driver under
-//! `--par-bootstrap` would assemble from quarantined key variants the
-//! workers never compute. [`dispatch`] refuses the combination.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -253,9 +249,7 @@ pub struct WorkerSummary {
     pub skipped: u64,
 }
 
-/// Builds the execution context a worker computes in. Bootstrap mode is
-/// pinned to the serial default — the only mode whose keys a dispatch
-/// driver watches — regardless of `VARBENCH_PAR_BOOTSTRAP`.
+/// Builds the execution context a worker computes in.
 fn worker_ctx(cfg: &WorkerConfig) -> RunContext {
     let runner = match (cfg.serial, cfg.threads) {
         (true, _) => Runner::serial(),
@@ -512,9 +506,7 @@ struct Tracked {
 /// runs its study/artifacts in-process against the warm cache, which
 /// computes only what the fleet did not deliver.
 ///
-/// `probe_ctx` is only used to probe the cache for published records;
-/// it must address keys in the default serial-bootstrap variant (the
-/// caller guarantees this — see the module docs).
+/// `probe_ctx` is only used to probe the cache for published records.
 pub fn dispatch(
     cfg: &DispatchConfig,
     jobs: Vec<DispatchJob>,

@@ -15,16 +15,12 @@ pub const WALLCLOCK_FILES: &[&str] = &["crates/bench/src/timing.rs"];
 /// crate root in the workspace forbids unsafe code.
 pub const UNSAFE_ROOT_ALLOWLIST: &[(&str, &str)] = &[];
 
-/// The registered `MeasureKey::with_variant` call sites (L004). Variant
-/// tags quarantine non-default statistical modes in their own cache-key
-/// space; every site minting one must be listed here so a review of the
-/// cache-key firewall reads one table instead of grepping the tree.
-pub const VARIANT_CALL_SITES: &[&str] = &[
-    // The constructor itself plus the canonical-form renderer.
-    "crates/pipeline/src/cache.rs",
-    // RunContext::measure_key — stamps the bootstrap-mode variant.
-    "crates/core/src/ctx.rs",
-];
+/// The registered `MeasureKey::with_variant` call sites (L004). A
+/// variant tag forks the cache-key space; every site minting one must be
+/// listed here so a review of the cache-key firewall reads one table
+/// instead of grepping the tree. Only the key's home is registered, and
+/// no variant is minted today.
+pub const VARIANT_CALL_SITES: &[&str] = &["crates/pipeline/src/cache.rs"];
 
 /// The only file allowed to format cache-key segments (L004): the
 /// canonical serialized form lives in `canonical()` and nowhere else.

@@ -32,7 +32,15 @@ cargo test -q --offline
 say "varbench CLI: list + workloads + run all --test --json"
 target/release/varbench list
 target/release/varbench workloads --test
-target/release/varbench run all --test --json > /dev/null
+target/release/varbench run all --test --json > "$scratch/all.json"
+# One bootstrap stream: the retired split-stream switch must change no
+# byte, and its flag must be rejected like any other unknown flag.
+VARBENCH_PAR_BOOTSTRAP=1 target/release/varbench run all --test --json > "$scratch/all_env.json"
+cmp "$scratch/all.json" "$scratch/all_env.json"
+if target/release/varbench run fig1 --test --par-bootstrap >/dev/null 2>&1; then
+    echo "ERROR: varbench accepted the retired --par-bootstrap flag" >&2
+    exit 1
+fi
 # The two non-MLP workloads must produce variance reports end to end.
 target/release/varbench run workload-linear workload-synth --test > /dev/null
 target/release/varbench cache stats
